@@ -5,18 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
-
-// maxEnvelopeBytes bounds how much of a response body the client reads —
-// plot PNGs and large ARFF replies fit comfortably, runaway bodies do not.
-const maxEnvelopeBytes = 64 << 20
 
 // Client invokes SOAP operations over HTTP. Construct it with NewClient;
 // the zero value behaves like NewClient() with no options.
@@ -218,12 +212,20 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 	}
 	// Read the body fully before parsing: a partially-consumed body keeps
 	// the pooled connection from being reused for the next call.
-	raw, readErr := io.ReadAll(io.LimitReader(resp.Body, maxEnvelopeBytes))
+	raw, readErr := readEnvelope(resp.Body, resp.ContentLength, maxEnvelopeBytes)
 	_ = resp.Body.Close()
 	if readErr != nil {
+		// An oversized reply is an error, not a retryable server fault:
+		// the same call would only return the same reply again.
 		return nil, fmt.Errorf("soap: reading %s response from %s: %w", operation, url, readErr)
 	}
-	reply, err := Unmarshal(bytes.NewReader(raw))
+	// decode overwrites raw in place, so take the snippet of a bare HTTP
+	// error first.
+	var snippet string
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		snippet = bodySnippet(raw)
+	}
+	reply, err := decode(raw)
 	if err != nil {
 		if f, isFault := err.(*Fault); isFault {
 			// A shedding server says when a retry is worth trying; carry
@@ -241,7 +243,7 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 			}
 			return nil, &Fault{Code: code,
 				String: fmt.Sprintf("HTTP %s from %s", resp.Status, url),
-				Detail: bodySnippet(raw)}
+				Detail: snippet}
 		}
 		// A 2xx whose body is not a well-formed envelope: the server (or
 		// something between) garbled the response. Type it soap:Server so
@@ -258,11 +260,11 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 
 // bodySnippet trims a non-envelope body for fault detail.
 func bodySnippet(raw []byte) string {
-	s := strings.TrimSpace(string(raw))
+	s := bytes.TrimSpace(raw)
 	if len(s) > 200 {
-		s = s[:200] + "…"
+		return string(s[:200]) + "…"
 	}
-	return s
+	return string(s)
 }
 
 // CallContext invokes an operation using the package's default client.

@@ -1,8 +1,11 @@
 package soap
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,5 +158,67 @@ func TestServerPropagatesAbortPanic(t *testing.T) {
 	var f *Fault
 	if errors.As(err, &f) {
 		t.Fatalf("abort produced a fault envelope (%v), want a transport error", f)
+	}
+}
+
+// An envelope over maxEnvelopeBytes is refused with 413 and a
+// soap:Client fault, from its declared length, before any of it is read
+// or decoded.
+func TestEndpointRejectsOversizedRequest(t *testing.T) {
+	var calls atomic.Int64
+	ep := NewEndpoint("Echo")
+	ep.Handle("echo", func(ctx context.Context, parts map[string]string) (map[string]string, error) {
+		calls.Add(1)
+		return parts, nil
+	})
+	srv := httptest.NewServer(ep)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST / HTTP/1.1\r\nHost: soap\r\nContent-Type: text/xml\r\nContent-Length: %d\r\n\r\n<soap:Envelope>",
+		maxEnvelopeBytes+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	_, err = Unmarshal(resp.Body)
+	var f *Fault
+	if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.Detail, fmt.Sprint(maxEnvelopeBytes)) {
+		t.Fatalf("reply = %v, want a soap:Client fault naming the limit", err)
+	}
+	if calls.Load() != 0 {
+		t.Fatal("handler ran for an oversized request")
+	}
+}
+
+// A reply over maxEnvelopeBytes fails with an error naming the limit,
+// and is not retried: the same call would get the same reply.
+func TestClientRejectsOversizedReply(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Length", fmt.Sprint(maxEnvelopeBytes+1))
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+
+	c := NewClient(WithResilience(&resilience.Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}))
+	_, err := c.CallContext(context.Background(), srv.URL, "op", nil)
+	if !errors.Is(err, errTooLarge) || !strings.Contains(err.Error(), fmt.Sprint(maxEnvelopeBytes)) {
+		t.Fatalf("error = %v, want the envelope limit", err)
+	}
+	if resilience.ClassifyErr(err) != resilience.Permanent {
+		t.Fatalf("oversized reply classified %v, want permanent", resilience.ClassifyErr(err))
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d calls, want 1", got)
 	}
 }

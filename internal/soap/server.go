@@ -2,9 +2,11 @@ package soap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -73,9 +75,21 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "soap endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	msg, err := Unmarshal(r.Body)
+	// The body is bounded before it is buffered; an oversized one is
+	// refused with 413 without being decoded.
+	body, err := readEnvelope(http.MaxBytesReader(w, r.Body, maxEnvelopeBytes), r.ContentLength, maxEnvelopeBytes)
+	var msg Message
+	if err == nil {
+		msg, err = decode(body)
+	}
 	if err != nil {
-		e.fault(r.Context(), w, "", &Fault{Code: "soap:Client", String: "malformed envelope", Detail: err.Error()})
+		status, f := http.StatusInternalServerError, &Fault{Code: "soap:Client", String: "malformed envelope", Detail: err.Error()}
+		var tooLarge *http.MaxBytesError
+		if errors.Is(err, errTooLarge) || errors.As(err, &tooLarge) {
+			status, f.String, f.Detail = http.StatusRequestEntityTooLarge, "request envelope too large",
+				fmt.Sprintf("the limit is %d bytes", maxEnvelopeBytes)
+		}
+		e.fault(r.Context(), w, status, "", f)
 		return
 	}
 	// Recover the caller's trace context: the SOAP header block wins, the
@@ -107,7 +121,7 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		span.End(f)
 		e.observe(msg.Operation, span.DurationMS(), f)
-		e.fault(ctx, w, msg.Operation, f)
+		e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, f)
 		return
 	}
 	out, err := e.safeCall(ctx, msg.Operation, h, msg.Parts)
@@ -120,26 +134,28 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"service="+e.ServiceName, "op="+msg.Operation).Inc()
 		serverLog.Warn(ctx, msg.Operation, "service", e.ServiceName,
 			"status", "abandoned", "err", fmt.Sprint(ctx.Err()))
-		e.fault(ctx, w, msg.Operation, &Fault{Code: "soap:Server",
+		e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, &Fault{Code: "soap:Server",
 			String: "caller deadline expired during service", Detail: ctx.Err().Error()})
 		return
 	}
 	if err != nil {
 		if f, isFault := err.(*Fault); isFault {
-			e.fault(ctx, w, msg.Operation, f)
+			e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, f)
 			return
 		}
-		e.fault(ctx, w, msg.Operation, &Fault{Code: "soap:Server", String: err.Error()})
+		e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, &Fault{Code: "soap:Server", String: err.Error()})
 		return
 	}
 	reply, err := Marshal(Message{Operation: msg.Operation + "Response", Parts: out, Trace: msg.Trace})
 	if err != nil {
-		e.fault(ctx, w, msg.Operation, &Fault{Code: "soap:Server", String: "marshalling response", Detail: err.Error()})
+		e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, &Fault{Code: "soap:Server", String: "marshalling response", Detail: err.Error()})
 		return
 	}
 	serverLog.Info(ctx, msg.Operation, "service", e.ServiceName, "status", "ok",
 		"dur_ms", fmt.Sprintf("%.1f", span.DurationMS()))
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+	// A declared length lets the client size its read buffer up front.
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
 	_, _ = w.Write(reply)
 }
 
@@ -181,9 +197,9 @@ func (e *Endpoint) observe(operation string, durMS float64, err error) {
 	}
 }
 
-func (e *Endpoint) fault(ctx context.Context, w http.ResponseWriter, operation string, f *Fault) {
+func (e *Endpoint) fault(ctx context.Context, w http.ResponseWriter, status int, operation string, f *Fault) {
 	serverLog.Warn(ctx, operation, "service", e.ServiceName, "fault", f.Code, "err", f.String)
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.WriteHeader(http.StatusInternalServerError)
+	w.WriteHeader(status)
 	_, _ = w.Write(MarshalFault(f))
 }

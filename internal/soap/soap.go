@@ -6,13 +6,12 @@
 package soap
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // EnvelopeNS is the SOAP 1.1 envelope namespace.
@@ -58,150 +57,147 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("soap fault %s: %s", f.Code, f.String)
 }
 
+const (
+	envelopeOpen = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
+		`<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`
+	traceOpen  = `<soap:Header><TraceContext xmlns="` + TraceNS + `">`
+	traceClose = `</TraceContext></soap:Header>`
+	bodyOpen   = `<soap:Body>`
+	bodyClose  = `</soap:Body></soap:Envelope>`
+)
+
 // Marshal renders a message as a SOAP 1.1 envelope. Parts are emitted in
 // sorted order for deterministic wire bytes.
 func Marshal(m Message) ([]byte, error) {
 	if m.Operation == "" {
 		return nil, fmt.Errorf("soap: message has no operation")
 	}
-	var b bytes.Buffer
-	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q>`, EnvelopeNS)
-	if m.Trace != "" {
-		fmt.Fprintf(&b, `<soap:Header><TraceContext xmlns=%q>`, TraceNS)
-		if err := xml.EscapeText(&b, []byte(m.Trace)); err != nil {
-			return nil, fmt.Errorf("soap: %w", err)
-		}
-		b.WriteString(`</TraceContext></soap:Header>`)
-	}
-	b.WriteString(`<soap:Body>`)
-	fmt.Fprintf(&b, "<%s>", m.Operation)
 	keys := make([]string, 0, len(m.Parts))
-	for k := range m.Parts {
+	size := len(envelopeOpen) + len(bodyOpen) + 2*len(m.Operation) + len("<></>") + len(bodyClose)
+	if m.Trace != "" {
+		size += len(traceOpen) + len(m.Trace) + len(traceClose)
+	}
+	for k, v := range m.Parts {
 		keys = append(keys, k)
+		size += 2*len(k) + len("<></>") + len(v)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
 		if !validName(k) {
 			return nil, fmt.Errorf("soap: invalid part name %q", k)
 		}
-		fmt.Fprintf(&b, "<%s>", k)
-		if err := xml.EscapeText(&b, []byte(m.Parts[k])); err != nil {
-			return nil, fmt.Errorf("soap: %w", err)
-		}
-		fmt.Fprintf(&b, "</%s>", k)
 	}
-	fmt.Fprintf(&b, "</%s>", m.Operation)
-	b.WriteString(`</soap:Body></soap:Envelope>`)
-	return b.Bytes(), nil
+	b := make([]byte, 0, size)
+	b = append(b, envelopeOpen...)
+	if m.Trace != "" {
+		b = append(b, traceOpen...)
+		b = appendEscaped(b, m.Trace)
+		b = append(b, traceClose...)
+	}
+	b = append(b, bodyOpen...)
+	b = append(append(append(b, '<'), m.Operation...), '>')
+	for _, k := range keys {
+		b = appendElement(b, k, m.Parts[k])
+	}
+	b = append(append(append(b, "</"...), m.Operation...), '>')
+	return append(b, bodyClose...), nil
 }
 
 // MarshalFault renders a fault envelope.
 func MarshalFault(f *Fault) []byte {
-	var b bytes.Buffer
-	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q><soap:Body><soap:Fault>`, EnvelopeNS)
-	fmt.Fprintf(&b, "<faultcode>%s</faultcode>", f.Code)
-	b.WriteString("<faultstring>")
-	_ = xml.EscapeText(&b, []byte(f.String))
-	b.WriteString("</faultstring>")
+	const open, end = bodyOpen + `<soap:Fault>`, `</soap:Fault>` + bodyClose
+	const tags = len("<faultcode></faultcode><faultstring></faultstring><detail></detail>")
+	b := make([]byte, 0, len(envelopeOpen)+len(open)+tags+len(f.Code)+len(f.String)+len(f.Detail)+len(end))
+	b = append(b, envelopeOpen...)
+	b = append(b, open...)
+	b = appendElement(b, "faultcode", f.Code)
+	b = appendElement(b, "faultstring", f.String)
 	if f.Detail != "" {
-		b.WriteString("<detail>")
-		_ = xml.EscapeText(&b, []byte(f.Detail))
-		b.WriteString("</detail>")
+		b = appendElement(b, "detail", f.Detail)
 	}
-	b.WriteString(`</soap:Fault></soap:Body></soap:Envelope>`)
-	return b.Bytes()
+	return append(b, end...)
 }
 
-// Unmarshal parses a SOAP envelope into a message. A fault body returns a
-// *Fault error.
+// Unmarshal reads and parses a SOAP envelope of at most 64 MB into a
+// message. A fault body returns a *Fault error.
 func Unmarshal(r io.Reader) (Message, error) {
-	dec := xml.NewDecoder(r)
-	msg := Message{Parts: map[string]string{}}
-	// States: looking for Envelope -> (Header) -> Body -> operation element.
-	depth := 0
-	inBody := false
-	inHeader := false
-	var opName string
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
+	size := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = int64(l.Len())
+	}
+	b, err := readEnvelope(r, size, maxEnvelopeBytes)
+	if err != nil {
+		return Message{Parts: map[string]string{}}, fmt.Errorf("soap: reading envelope: %w", err)
+	}
+	return decode(b)
+}
+
+// appendElement appends <name>text</name>, escaping the text.
+func appendElement(b []byte, name, text string) []byte {
+	b = append(append(append(b, '<'), name...), '>')
+	b = appendEscaped(b, text)
+	return append(append(append(b, "</"...), name...), '>')
+}
+
+// escStop marks the bytes appendEscaped cannot copy as they are: the
+// ones it escapes and the lead bytes of multi-byte UTF-8, which it checks.
+var escStop = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = c < 0x20 || c >= utf8.RuneSelf || strings.IndexByte(`"'&<>`, byte(c)) >= 0
+	}
+	return t
+}()
+
+// appendEscaped appends s escaped exactly as xml.EscapeText does —
+// quotes, '&', '<', '>', tab, LF and CR as character references,
+// invalid UTF-8 and non-XML characters as U+FFFD — copying the runs in
+// between whole.
+func appendEscaped(b []byte, s string) []byte {
+	run := 0
+	for i := 0; i < len(s); {
+		for i < len(s) && !escStop[s[i]] {
+			i++
+		}
+		if i == len(s) {
 			break
 		}
-		if err != nil {
-			return msg, fmt.Errorf("soap: malformed envelope: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			switch {
-			case depth == 1:
-				if t.Name.Local != "Envelope" {
-					return msg, fmt.Errorf("soap: root element %q is not Envelope", t.Name.Local)
-				}
-			case depth == 2 && t.Name.Local == "Header":
-				inHeader = true
-			case depth == 2 && t.Name.Local == "Body":
-				inBody = true
-			case depth == 3 && inHeader:
-				if t.Name.Local == "TraceContext" {
-					var v string
-					if err := dec.DecodeElement(&v, &t); err != nil {
-						return msg, fmt.Errorf("soap: malformed trace header: %w", err)
-					}
-					msg.Trace = strings.TrimSpace(v)
-				} else if err := dec.Skip(); err != nil { // tolerate unknown header blocks
-					return msg, fmt.Errorf("soap: malformed header: %w", err)
-				}
-				depth-- // the block's end element was consumed
-			case depth == 3 && inBody:
-				if t.Name.Local == "Fault" {
-					var f Fault
-					if err := dec.DecodeElement(&f, &t); err != nil {
-						return msg, fmt.Errorf("soap: malformed fault: %w", err)
-					}
-					return msg, &f
-				}
-				opName = t.Name.Local
-				msg.Operation = opName
-				if err := decodeParts(dec, &msg); err != nil {
-					return msg, err
-				}
-				depth-- // decodeParts consumed the end element
-			}
-		case xml.EndElement:
-			depth--
-			if depth == 1 && t.Name.Local == "Header" {
-				inHeader = false
+		esc, n := "\uFFFD", 1
+		if c := s[i]; c < utf8.RuneSelf {
+			esc = asciiEscape(c)
+		} else {
+			var r rune
+			if r, n = utf8.DecodeRuneInString(s[i:]); isChar(r) && !(r == utf8.RuneError && n == 1) {
+				i += n
+				continue
 			}
 		}
+		b = append(append(b, s[run:i]...), esc...)
+		i += n
+		run = i
 	}
-	if msg.Operation == "" {
-		return msg, fmt.Errorf("soap: envelope has no operation element")
-	}
-	return msg, nil
+	return append(b, s[run:]...)
 }
 
-// decodeParts reads <name>value</name> children until the operation's end
-// element.
-func decodeParts(dec *xml.Decoder, msg *Message) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return fmt.Errorf("soap: malformed body: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			var value string
-			if err := dec.DecodeElement(&value, &t); err != nil {
-				return fmt.Errorf("soap: malformed part %q: %w", t.Name.Local, err)
-			}
-			msg.Parts[t.Name.Local] = value
-		case xml.EndElement:
-			return nil
-		}
+func asciiEscape(c byte) string {
+	switch c {
+	case '"':
+		return "&#34;"
+	case '\'':
+		return "&#39;"
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\t':
+		return "&#x9;"
+	case '\n':
+		return "&#xA;"
+	case '\r':
+		return "&#xD;"
 	}
+	return "\uFFFD" // the other control bytes are not XML characters
 }
 
 // validName reports whether s is usable as an XML element name.

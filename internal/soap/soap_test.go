@@ -1,9 +1,11 @@
 package soap
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,14 +63,56 @@ func TestUnmarshalFault(t *testing.T) {
 	if !strings.Contains(got.Error(), "boom") {
 		t.Fatalf("Error() = %q", got.Error())
 	}
+	// A code with markup characters is escaped, not spliced in raw.
+	f = &Fault{Code: "app:Err<1>&2", String: "x"}
+	if _, err := Unmarshal(strings.NewReader(string(MarshalFault(f)))); !reflect.DeepEqual(err, f) {
+		t.Fatalf("fault with code %q = %#v", f.Code, err)
+	}
 }
 
 func TestUnmarshalMalformed(t *testing.T) {
+	ok := `<Envelope><Body><op><p>v</p></op></Body></Envelope>`
+	var manyParts string
+	for i := 0; i <= maxParts; i++ {
+		manyParts += fmt.Sprintf("<p%d/>", i)
+	}
 	for _, doc := range []string{
 		"",
 		"<notsoap/>",
 		"<Envelope><Body></Body></Envelope>", // no operation
 		"<Envelope><Body><op><unclosed></op></Body></Envelope>",
+		`<!DOCTYPE Envelope [<!ENTITY x "y">]>` + ok,
+		`<Envelope><!DOCTYPE x><Body><op/></Body></Envelope>`,
+		`<Envelope><Body><op><p>&x;</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>&amp</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>&#xD800;</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>&#0;</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>&#x110000;</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>&#X41;</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>a]]>b</p></op></Body></Envelope>`,
+		"<Envelope><Body><op><p>\x01</p></op></Body></Envelope>",
+		"<Envelope><Body><op><p>\xff</p></op></Body></Envelope>",
+		"<Envelope><Body><op><p>\xef\xbf\xbe</p></op></Body></Envelope>",
+		"<Envelope><Body><op><p><![CDATA[\x00]]></p></op></Body></Envelope>",
+		`<Envelope><Body><op><p><![CDATA[open</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p>v</q></op></Body></Envelope>`,
+		`<a:Envelope><Body><op/></Body></b:Envelope>`,
+		`<Envelope><Body><op><p a=v>x</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p a="<">x</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p a>x</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p a="1"b="2">x</p></op></Body></Envelope>`,
+		`<Envelope><Body><op><p:q:r>x</p:q:r></op></Body></Envelope>`,
+		`<Envelope><Body><op><!-- a -- b --></op></Body></Envelope>`,
+		`<Envelope><Body><op><?xml version="1.0"?></op></Body></Envelope>`,
+		`<?xml version="1.1"?>` + ok,
+		`<?xml version="1.0" encoding="ISO-8859-1"?>` + ok,
+		`<?xml encoding="UTF-8"?>` + ok,
+		ok + ok,
+		ok + "trailing",
+		"text" + ok,
+		`<![CDATA[x]]>` + ok,
+		`<Envelope><Body><op>` + manyParts + `</op></Body></Envelope>`,
+		`<Envelope><Body><op><p>` + strings.Repeat("<a>", maxDepth+1) + strings.Repeat("</a>", maxDepth+1) + `</p></op></Body></Envelope>`,
 	} {
 		if _, err := Unmarshal(strings.NewReader(doc)); err == nil {
 			t.Errorf("accepted %q", doc)
@@ -95,8 +139,18 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// The wire bytes are the encoding/xml reference's, and both
+		// decoders read them back alike.
+		if ref, err := referenceMarshal(msg); err != nil || !bytes.Equal(b, ref) {
+			t.Errorf("Marshal differs from the reference:\n%q\n%q", b, ref)
+			return false
+		}
 		got, err := Unmarshal(strings.NewReader(string(b)))
 		if err != nil {
+			return false
+		}
+		if want, err := referenceUnmarshal(bytes.NewReader(b)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("decoders differ on %q: %#v vs %#v (%v)", b, got, want, err)
 			return false
 		}
 		// XML normalises CR to LF; accept that.

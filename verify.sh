@@ -8,7 +8,7 @@
 # the journaled-workflow kill/resume drill, and the chained
 # filterBatch -> clusterBatch binary-pipeline drill. The columnar batch
 # kernels (cluster/regress/filter) get a targeted -race sweep of their
-# bit-identity tests.
+# bit-identity tests, and the SOAP envelope codec a short fuzz pass.
 # Run from the repo root.
 set -eux
 
@@ -35,6 +35,13 @@ fi
 
 go test ./...
 go test -race ./...
+
+# The SOAP envelope codec is a hand-written scanner over untrusted bytes.
+# A short fuzz pass per target holds the decoder to the encoding/xml
+# reference (whatever it accepts, the reference accepts with the same
+# message or fault) and the escaper to xml.EscapeText, byte for byte.
+go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 20s -parallel 2 ./internal/soap/
+go test -run '^$' -fuzz '^FuzzEscape$' -fuzztime 10s -parallel 2 ./internal/soap/
 
 # The parallel kernels get a dedicated -race pass: the determinism and
 # cancellation tests must hold when the fold/member/assignment fan-out
