@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/dataset"
@@ -21,6 +22,7 @@ func Parse(r io.Reader) (*dataset.Dataset, error) {
 	d := dataset.New("unnamed")
 	inData := false
 	lineNo := 0
+	var cells []string // reused: AddRow keeps no reference to it
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -49,11 +51,11 @@ func Parse(r io.Reader) (*dataset.Dataset, error) {
 			}
 			continue
 		}
-		cells, err := splitDataLine(line)
-		if err != nil {
+		var err error
+		if cells, err = splitDataLine(cells[:0], line); err != nil {
 			return nil, fmt.Errorf("arff: line %d: %w", lineNo, err)
 		}
-		if err := d.AddRow(cells); err != nil {
+		if err = d.AddRow(cells); err != nil {
 			return nil, fmt.Errorf("arff: line %d: %w", lineNo, err)
 		}
 	}
@@ -89,7 +91,7 @@ func parseAttribute(spec string) (*dataset.Attribute, error) {
 			return nil, fmt.Errorf("unterminated nominal specification %q", rest)
 		}
 		inner := rest[1:end]
-		labels, err := splitDataLine(inner)
+		labels, err := splitDataLine(nil, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -132,37 +134,65 @@ func takeName(s string) (name, rest string, err error) {
 	return s[:i], s[i+1:], nil
 }
 
-// splitDataLine splits a comma-separated ARFF data row honouring quotes.
-func splitDataLine(line string) ([]string, error) {
-	var cells []string
-	var cur strings.Builder
+// splitDataLine appends the cells of a comma-separated ARFF data row to
+// dst, honouring quotes: a quote opens a run, up to the matching quote,
+// in which commas are literal and a backslash escapes the next byte.
+// Cells are trimmed of surrounding space. A cell without quotes is a
+// substring of line; only a quoted cell is built byte by byte.
+func splitDataLine(dst []string, line string) ([]string, error) {
+	for start := 0; ; {
+		i := start
+		for i < len(line) && line[i] != ',' && line[i] != '\'' && line[i] != '"' {
+			i++
+		}
+		var cell string
+		if i < len(line) && line[i] != ',' {
+			var err error
+			if cell, i, err = quotedCell(line, start); err != nil {
+				return nil, err
+			}
+		} else {
+			cell = strings.TrimSpace(line[start:i])
+		}
+		dst = append(dst, cell)
+		if i == len(line) {
+			return dst, nil
+		}
+		start = i + 1
+	}
+}
+
+// quotedCell builds the cell starting at line[start:] that contains a
+// quote, returning it trimmed with the index of the comma (or line end)
+// that ends it.
+func quotedCell(line string, start int) (string, int, error) {
+	var cur []byte
 	inQuote := byte(0)
-	for i := 0; i < len(line); i++ {
+	i := start
+	for ; i < len(line); i++ {
 		c := line[i]
 		switch {
 		case inQuote != 0:
 			if c == '\\' && i+1 < len(line) {
-				cur.WriteByte(line[i+1])
+				cur = append(cur, line[i+1])
 				i++
 			} else if c == inQuote {
 				inQuote = 0
 			} else {
-				cur.WriteByte(c)
+				cur = append(cur, c)
 			}
 		case c == '\'' || c == '"':
 			inQuote = c
 		case c == ',':
-			cells = append(cells, strings.TrimSpace(cur.String()))
-			cur.Reset()
+			return strings.TrimSpace(string(cur)), i, nil
 		default:
-			cur.WriteByte(c)
+			cur = append(cur, c)
 		}
 	}
 	if inQuote != 0 {
-		return nil, fmt.Errorf("unterminated quote in %q", line)
+		return "", 0, fmt.Errorf("unterminated quote in %q", line)
 	}
-	cells = append(cells, strings.TrimSpace(cur.String()))
-	return cells, nil
+	return strings.TrimSpace(string(cur)), i, nil
 }
 
 func unquote(s string) string {
@@ -192,16 +222,31 @@ func Write(w io.Writer, d *dataset.Dataset) error {
 		fmt.Fprintln(bw, a.SpecString())
 	}
 	fmt.Fprintln(bw, "\n@data")
+	var row []byte // reused for every row
 	for _, in := range d.Instances {
-		for col := range d.Attrs {
-			if col > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(quoteToken(d.CellString(in, col)))
-		}
-		bw.WriteByte('\n')
+		row = appendRow(row[:0], d, in)
+		_, _ = bw.Write(row) // a write error sticks in bw; Flush returns it
 	}
 	return bw.Flush()
+}
+
+// appendRow appends in's cells as one ARFF data line: numbers through
+// strconv.AppendFloat, labels through appendToken.
+func appendRow(b []byte, d *dataset.Dataset, in *dataset.Instance) []byte {
+	for col, v := range in.Values[:len(d.Attrs)] {
+		if col > 0 {
+			b = append(b, ',')
+		}
+		switch a := d.Attrs[col]; {
+		case dataset.IsMissing(v):
+			b = append(b, '?')
+		case a.Kind == dataset.Numeric:
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		default:
+			b = appendToken(b, a.Value(int(v)))
+		}
+	}
+	return append(b, '\n')
 }
 
 // Format renders d as an ARFF string.
@@ -211,12 +256,23 @@ func Format(d *dataset.Dataset) string {
 	return b.String()
 }
 
-func quoteToken(s string) string {
+func quoteToken(s string) string { return string(appendToken(nil, s)) }
+
+// appendToken appends s as an ARFF token: quoted, with inner quotes
+// escaped, when it is empty or holds a space, tab, comma, brace or '%'.
+func appendToken(b []byte, s string) []byte {
 	if s == "" {
-		return "''"
+		return append(b, "''"...)
 	}
-	if strings.ContainsAny(s, " \t,{}%") && s != "?" {
-		return "'" + strings.ReplaceAll(s, "'", `\'`) + "'"
+	if !strings.ContainsAny(s, " \t,{}%") || s == "?" {
+		return append(b, s...)
 	}
-	return s
+	b = append(b, '\'')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\'' {
+			b = append(b, '\\')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '\'')
 }

@@ -1,11 +1,14 @@
 package arff
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 )
 
@@ -191,5 +194,144 @@ func TestWriteQuoting(t *testing.T) {
 	}
 	if got := d2.CellString(d2.Instances[0], 0); got != "has space" {
 		t.Fatalf("quoted value round-trip = %q", got)
+	}
+}
+
+// numericARFF renders rows x cols of numeric cells, some missing.
+func numericARFF(rows, cols int) string {
+	rng := rand.New(rand.NewSource(int64(rows*cols + 1)))
+	d := dataset.New("numeric")
+	for j := 0; j < cols; j++ {
+		d.Attrs = append(d.Attrs, dataset.NewNumericAttribute(fmt.Sprintf("x%d", j)))
+	}
+	for i := 0; i < rows; i++ {
+		vals := make([]float64, cols)
+		for j := range vals {
+			vals[j] = rng.NormFloat64() * 100
+			if rng.Intn(20) == 0 {
+				vals[j] = dataset.Missing
+			}
+		}
+		d.MustAdd(dataset.NewInstance(vals))
+	}
+	return Format(d)
+}
+
+// TestParseNumericAllocsPerRow pins the parser's allocation shape: a
+// wide all-numeric row costs its line and its Instance, never a string
+// per cell.
+func TestParseNumericAllocsPerRow(t *testing.T) {
+	const rows, cols = 512, 16
+	doc := numericARFF(rows, cols)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ParseString(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := allocs / rows; perRow >= 3 {
+		t.Fatalf("%.0f allocations for %d rows of %d cells (%.2f a row), want under 3 a row", allocs, rows, cols, perRow)
+	}
+}
+
+// TestWriteRowsAllocateNothing pins the writer's: a row rendered into a
+// buffer with room costs no allocation, numbers, labels and quoting
+// included.
+func TestWriteRowsAllocateNothing(t *testing.T) {
+	d, err := ParseString(numericARFF(64, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ParseString(weatherARFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Attrs[0] = dataset.NewNominalAttribute("outlook", "sunny day", "overcast", "it's rainy")
+	row := make([]byte, 0, 1<<12)
+	for _, ds := range []*dataset.Dataset{d, w} {
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, in := range ds.Instances {
+				row = appendRow(row[:0], ds, in)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("rendering %d rows of %s allocated %.0f times", len(ds.Instances), ds.Relation, allocs)
+		}
+	}
+}
+
+func TestSplitDataLineMatchesReference(t *testing.T) {
+	for _, line := range []string{
+		"", ",", " a , b ", "'a,b',c", `"x\"y",z`, "ab'c,d'e,f", "' padded ',x", `'a\`, "'open",
+		`a\b,c`, "'',\"\"", "1,2,3,", "'it''s',x", " , ,",
+	} {
+		got, gotErr := splitDataLine(nil, line)
+		want, wantErr := referenceSplitDataLine(line)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Errorf("split(%q) = %q, %v; want %q, %v", line, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// FuzzParse holds the parser and the writer to the reference copies in
+// reference_test.go: every line splits into the same cells, every
+// document parses to the same dataset or fails with the same error, and
+// every parsed dataset formats to the same bytes.
+func FuzzParse(f *testing.F) {
+	for _, doc := range []string{
+		weatherARFF,
+		numericARFF(8, 3),
+		Format(datagen.IrisLike(5, 1)),
+		Format(datagen.Weather()),
+		"@relation 'my relation'\n@attribute 'attr one' {'value 1', 'value 2'}\n@attribute x numeric\n@data\n'value 1', 3.5\n\"value 2\", 4\n",
+		"@relation s\n@attribute note string\n@attribute x numeric\n@data\nhello,1\n'a,b\\'c',2\n' padded ',3\n",
+		"@relation r\n@attribute x {a}\n@data\n'a\n",
+		"@relation r\n@attribute x numeric\n@attribute y numeric\n@data\n1\n",
+		"% c\n\n@relation r\n@attribute x numeric\n@data\n% d\n1\n\n?\n",
+	} {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		for _, line := range strings.Split(doc, "\n") {
+			got, gotErr := splitDataLine(nil, line)
+			want, wantErr := referenceSplitDataLine(line)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+				t.Fatalf("split(%q) = %q, %v; want %q, %v", line, got, gotErr, want, wantErr)
+			}
+		}
+		got, gotErr := ParseString(doc)
+		want, wantErr := referenceParse(strings.NewReader(doc))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("Parse error %v, reference %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if err := sameDataset(got, want); err != nil {
+			t.Fatalf("Parse differs from the reference: %v", err)
+		}
+		if g, w := Format(got), referenceFormat(got); g != w {
+			t.Fatalf("Format = %q, reference %q", g, w)
+		}
+	})
+}
+
+func BenchmarkParseNumeric(b *testing.B) {
+	doc := numericARFF(1024, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseString(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFormatNumeric(b *testing.B) {
+	d, err := ParseString(numericARFF(1024, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = Format(d)
 	}
 }

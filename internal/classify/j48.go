@@ -565,13 +565,15 @@ func (j *J48) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
 		return nil, fmt.Errorf("classify: J48 is untrained")
 	}
 	cols := d.Columns()
-	n := d.NumInstances()
+	n, k := d.NumInstances(), j.classAttr.NumValues()
 	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := i
-		acc := make([]float64, j.classAttr.NumValues())
-		j.descendCells(j.root, func(col int) float64 { return cols[col][row] }, 1, acc)
-		out[i] = normalize(acc)
+	slab := make([]float64, n*k) // every row's distribution
+	row := 0
+	cell := func(col int) float64 { return cols[col][row] }
+	for ; row < n; row++ {
+		acc := slab[row*k : (row+1)*k : (row+1)*k]
+		j.descendCells(j.root, cell, 1, acc)
+		out[row] = normalize(acc)
 	}
 	return out, nil
 }

@@ -323,8 +323,10 @@ func decodeLabels(out map[string]string, wantRows int) ([]Label, error) {
 		return nil, fmt.Errorf("dm: batch result has %d rows, sent %d", len(res.Labels), wantRows)
 	}
 	labels := make([]Label, len(res.Labels))
+	k := len(res.Classes)
+	slab := make([]float64, len(labels)*k) // every row's distribution
 	for i, l := range res.Labels {
-		dist := make([]float64, len(res.Classes))
+		dist := slab[i*k : (i+1)*k : (i+1)*k]
 		for cl := range res.Classes {
 			dist[cl] = res.Distributions[cl][i]
 		}

@@ -24,6 +24,17 @@ import (
 
 var coreLog = obs.L("core")
 
+// Server timeouts. A peer gets readHeaderTimeout to send a request's
+// headers, so one that connects and stalls mid-header cannot hold the
+// connection and its goroutine forever; a kept-alive connection with no
+// next request closes after idleTimeout. Bodies are not timed: a large
+// block upload over a slow link is legitimate, and the envelope size
+// cap already bounds it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 90 * time.Second
+)
+
 // Deployment is a running instance of the toolkit's service side: every
 // data-mining Web Service hosted on one HTTP server plus a UDDI-style
 // registry with all of them published — the hosting role Tomcat/Axis and
@@ -229,7 +240,7 @@ func Deploy(addr string, backend harness.Backend, opts ...Option) (*Deployment, 
 			return nil, err
 		}
 	}
-	d.server = &http.Server{Handler: mux}
+	d.server = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = d.server.Serve(ln) }()
 	if cfg.heartbeat > 0 {
 		d.stopBeat = make(chan struct{})

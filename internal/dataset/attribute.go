@@ -122,7 +122,12 @@ func (a *Attribute) Intern(label string) (int, error) {
 		return -1, fmt.Errorf("dataset: attribute %q has no value %q (declared: %s)",
 			a.Name, label, strings.Join(a.values, ","))
 	case String:
-		return a.addValue(label), nil
+		if i := a.IndexOf(label); i >= 0 {
+			return i, nil
+		}
+		// label may be a substring of a larger buffer (a whole ARFF
+		// line); copy it so the attribute does not pin that buffer.
+		return a.addValue(strings.Clone(label)), nil
 	default:
 		return -1, fmt.Errorf("dataset: attribute %q is numeric; cannot intern %q", a.Name, label)
 	}

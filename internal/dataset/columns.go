@@ -62,8 +62,8 @@ func (d *Dataset) InvalidateColumns() {
 // FromColumns builds a dataset directly from column-major storage:
 // cols[j] holds attribute j's values for every row. The slices are
 // retained as the dataset's columnar backing — no copy — and the
-// Instances row view is carved from one freshly allocated slab so the
-// row API stays available. weights may be nil (unit weights). Nominal
+// Instances row view is carved from freshly allocated slabs so the row
+// API stays available. weights may be nil (unit weights). Nominal
 // and string cells are validated the way Add validates them: a non-
 // integral or out-of-range value index is an error, which is what turns
 // a corrupt wire payload into a caller fault instead of a panic deep in
@@ -103,11 +103,13 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 	}
 	d := New(relation, attrs...)
 	d.ClassIndex = classIndex
-	// One slab for every row view; each Instance aliases its n-th stripe.
+	// One value slab and one Instance slab back every row view, so the
+	// view costs the same few allocations at any row count.
 	m := len(attrs)
 	slab := make([]float64, rows*m)
+	insts := make([]Instance, rows)
 	d.Instances = make([]*Instance, rows)
-	for i := 0; i < rows; i++ {
+	for i := range insts {
 		vals := slab[i*m : (i+1)*m : (i+1)*m]
 		for j := 0; j < m; j++ {
 			vals[j] = cols[j][i]
@@ -116,7 +118,8 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 		if weights != nil {
 			w = weights[i]
 		}
-		d.Instances[i] = &Instance{Values: vals, Weight: w}
+		insts[i] = Instance{Values: vals, Weight: w}
+		d.Instances[i] = &insts[i]
 	}
 	d.cols = cols
 	d.colsRows = rows

@@ -225,3 +225,24 @@ func BenchmarkColumnsBuild(b *testing.B) {
 		_ = d.Columns()
 	}
 }
+
+// TestFromColumnsAllocsFlatInRows pins the row view's allocation shape:
+// one value slab, one Instance slab and the pointer slice, so 1024 and
+// 4096 rows allocate the same number of times.
+func TestFromColumnsAllocsFlatInRows(t *testing.T) {
+	attrs := []*Attribute{NewNumericAttribute("x"), NewNumericAttribute("y"), NewNominalAttribute("c", "a", "b")}
+	fromColumnsAllocs := func(rows int) float64 {
+		cols := make([][]float64, len(attrs))
+		for j := range cols {
+			cols[j] = make([]float64, rows)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := FromColumns("r", attrs, 2, cols, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := fromColumnsAllocs(1024), fromColumnsAllocs(4096); small != large {
+		t.Fatalf("FromColumns allocates %.0f times for 1024 rows, %.0f for 4096", small, large)
+	}
+}

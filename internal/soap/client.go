@@ -183,6 +183,8 @@ func (c *Client) invoke(ctx context.Context, url, operation string, msg Message)
 
 // do performs the marshalled HTTP round trip.
 func (c *Client) do(ctx context.Context, url, operation string, msg Message) (map[string]string, error) {
+	// Not pooled: the transport may still read or close the body after
+	// RoundTrip returns.
 	body, err := Marshal(msg)
 	if err != nil {
 		return nil, err
@@ -226,6 +228,7 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 		snippet = bodySnippet(raw)
 	}
 	reply, err := decode(raw)
+	envelopes.Put(raw)
 	if err != nil {
 		if f, isFault := err.(*Fault); isFault {
 			// A shedding server says when a retry is worth trying; carry

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -182,4 +183,37 @@ func FuzzEscape(f *testing.F) {
 			t.Fatalf("escape(%q) = %q, want %q", s, got, want.Bytes())
 		}
 	})
+}
+
+// TestDecodeDoesNotAliasBuffer pins buffer ownership: decode copies
+// every part, fault field, trace string and error out of the envelope,
+// so the buffer can be recycled (and overwritten by the next request)
+// the moment decode returns.
+func TestDecodeDoesNotAliasBuffer(t *testing.T) {
+	msg := Message{Operation: "classifyBatch", Trace: "00-trace-01",
+		Parts: map[string]string{"payload": strings.Repeat("QUJD", 64), "text": "a &amp; <b> ☃"}}
+	req, err := Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := &Fault{Code: "soap:Client", String: "bad <input>", Detail: "line 3 & more"}
+	for name, env := range map[string][]byte{
+		"request":   req,
+		"fault":     MarshalFault(fault),
+		"malformed": []byte(`<soap:Envelope xmlns:soap="x"><soap:Body><op><a>1</b></op></soap:Body></soap:Envelope>`),
+	} {
+		want, wantErr := decode(append([]byte(nil), env...))
+		buf := append(envelopes.Get(len(env)), env...)
+		got, gotErr := decode(buf)
+		envelopes.Put(buf)
+		for i := range buf {
+			buf[i] = 'X'
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: message changed when its buffer was overwritten: %+v, want %+v", name, got, want)
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Errorf("%s: error changed when its buffer was overwritten: %v, want %v", name, gotErr, wantErr)
+		}
+	}
 }

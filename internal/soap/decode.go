@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/bufpool"
 )
 
 // maxEnvelopeBytes bounds every envelope this package reads: request
@@ -29,9 +31,17 @@ const maxParts = 1024
 // errTooLarge reports an envelope over the read limit.
 var errTooLarge = errors.New("envelope too large")
 
+// envelopes recycles envelope buffers: request bodies once decode has
+// copied the parts out, and the server's replies once written. Client
+// request bodies are never pooled: net/http may still read (rewind and
+// resend) or close them after RoundTrip returns.
+var envelopes = bufpool.New(maxPresize)
+
 // readEnvelope reads a whole envelope of at most limit bytes into one
-// buffer. size is the declared length, or negative when unknown; a
-// declared length over the limit fails before anything is read.
+// pooled buffer, which the caller hands back with envelopes.Put once
+// nothing aliases it. size is the declared length, or negative when
+// unknown; a declared length over the limit fails before anything is
+// read.
 func readEnvelope(r io.Reader, size, limit int64) ([]byte, error) {
 	if size > limit {
 		return nil, fmt.Errorf("%w (limit %d bytes)", errTooLarge, limit)
@@ -39,7 +49,7 @@ func readEnvelope(r io.Reader, size, limit int64) ([]byte, error) {
 	if size < 0 {
 		size = 512
 	}
-	buf := make([]byte, 0, min(size, maxPresize)+1)
+	buf := envelopes.Get(int(min(size, maxPresize) + 1))
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -47,12 +57,14 @@ func readEnvelope(r io.Reader, size, limit int64) ([]byte, error) {
 		n, err := r.Read(buf[len(buf):min(int64(cap(buf)), limit+1)])
 		buf = buf[:len(buf)+n]
 		if int64(len(buf)) > limit {
+			envelopes.Put(buf)
 			return nil, fmt.Errorf("%w (limit %d bytes)", errTooLarge, limit)
 		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
+			envelopes.Put(buf)
 			return nil, err
 		}
 	}
@@ -92,6 +104,8 @@ func (d *decoder) errorf(format string, args ...any) error {
 }
 
 // decode parses a buffered envelope, overwriting it as text is decoded.
+// Everything it returns, errors included, is copied out of b, so b can
+// be recycled as soon as it returns.
 // Elements are matched by local name. Header children are header
 // blocks: TraceContext is read, the rest ignored. Once a Body has been
 // opened, every grandchild of the Envelope outside a Header is an

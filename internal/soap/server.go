@@ -81,6 +81,7 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var msg Message
 	if err == nil {
 		msg, err = decode(body)
+		envelopes.Put(body)
 	}
 	if err != nil {
 		status, f := http.StatusInternalServerError, &Fault{Code: "soap:Client", String: "malformed envelope", Detail: err.Error()}
@@ -146,7 +147,7 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, &Fault{Code: "soap:Server", String: err.Error()})
 		return
 	}
-	reply, err := Marshal(Message{Operation: msg.Operation + "Response", Parts: out, Trace: msg.Trace})
+	reply, err := appendMessage(envelopes.Get(0), Message{Operation: msg.Operation + "Response", Parts: out, Trace: msg.Trace})
 	if err != nil {
 		e.fault(ctx, w, http.StatusInternalServerError, msg.Operation, &Fault{Code: "soap:Server", String: "marshalling response", Detail: err.Error()})
 		return
@@ -157,6 +158,7 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// A declared length lets the client size its read buffer up front.
 	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
 	_, _ = w.Write(reply)
+	envelopes.Put(reply)
 }
 
 // safeCall invokes a handler, converting a panic into a soap:Server

@@ -8,6 +8,7 @@ package soap
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -68,7 +69,11 @@ const (
 
 // Marshal renders a message as a SOAP 1.1 envelope. Parts are emitted in
 // sorted order for deterministic wire bytes.
-func Marshal(m Message) ([]byte, error) {
+func Marshal(m Message) ([]byte, error) { return appendMessage(nil, m) }
+
+// appendMessage appends m's envelope to b, growing it once to the exact
+// size.
+func appendMessage(b []byte, m Message) ([]byte, error) {
 	if m.Operation == "" {
 		return nil, fmt.Errorf("soap: message has no operation")
 	}
@@ -87,7 +92,7 @@ func Marshal(m Message) ([]byte, error) {
 			return nil, fmt.Errorf("soap: invalid part name %q", k)
 		}
 	}
-	b := make([]byte, 0, size)
+	b = slices.Grow(b, size)
 	b = append(b, envelopeOpen...)
 	if m.Trace != "" {
 		b = append(b, traceOpen...)
@@ -129,6 +134,7 @@ func Unmarshal(r io.Reader) (Message, error) {
 	if err != nil {
 		return Message{Parts: map[string]string{}}, fmt.Errorf("soap: reading envelope: %w", err)
 	}
+	defer envelopes.Put(b)
 	return decode(b)
 }
 

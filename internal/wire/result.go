@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/base64"
-
 // Result-block kinds beyond classification. clusterBatch replies carry a
 // "DMC1" block (per-row cluster assignments plus one score column per
 // cluster — centroid distances or mixture responsibilities), regressBatch
@@ -69,7 +67,9 @@ type ClusterResult struct {
 //	u32 rows
 //	assignment block: u32 byte length, rows u32 indices (0xFFFFFFFF = noise)
 //	per cluster:      length-prefixed float64 column, present iff scoreKind != 0
-func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
+func MarshalClusterResult(res *ClusterResult) ([]byte, error) { return appendClusterResult(nil, res) }
+
+func appendClusterResult(b []byte, res *ClusterResult) ([]byte, error) {
 	rows := len(res.Assignments)
 	if res.Clusters < 0 {
 		return nil, errf("negative cluster count %d", res.Clusters)
@@ -92,7 +92,7 @@ func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
 			}
 		}
 	}
-	w := &writer{buf: make([]byte, 0, 16+4*rows+8*rows*len(res.Scores))}
+	w := writer{buf: grow(b, 4+1+1+4+4+4+4*rows+len(res.Scores)*(4+8*rows))}
 	w.buf = append(w.buf, magicCluster...)
 	w.u8(version)
 	w.u8(kc)
@@ -110,87 +110,36 @@ func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
 		w.u32(uint32(a))
 	}
 	for _, col := range res.Scores {
-		writeColumn(w, col)
+		w.column(col)
 	}
 	return w.buf, nil
 }
 
 // UnmarshalClusterResult decodes one DMC1 block.
 func UnmarshalClusterResult(b []byte) (*ClusterResult, error) {
-	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
-		return nil, err
+	r := open(b, magicCluster, "dmc1")
+	kind, err := scoreKindFromCode(r.u8())
+	if r.err == nil {
+		r.err = err
 	}
-	if string(r.buf[:4]) != magicCluster {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicCluster)
+	clusters := r.u32()
+	k := uint64(0)
+	if kind != ScoreNone {
+		k = uint64(clusters)
 	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmc1 version %d", v)
-	}
-	kc, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	kind, err := scoreKindFromCode(kc)
-	if err != nil {
-		return nil, err
-	}
-	clusters, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if clusters > 1<<24 {
-		return nil, errf("cluster count %d exceeds limit", clusters)
-	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBlockBytes {
-		return nil, errf("assignment block of %d bytes exceeds limit", n)
-	}
-	if int(n) != 4*int(rows) {
-		return nil, errf("assignment block is %d bytes, want %d for %d rows", n, 4*rows, rows)
-	}
-	assign := make([]int, rows)
-	for i := range assign {
-		a, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if a == noAssign {
-			assign[i] = -1
-			continue
-		}
-		if a >= clusters {
-			return nil, errf("row %d assignment %d out of range for %d clusters", i, a, clusters)
-		}
-		assign[i] = int(a)
+	// A row costs an assignment and one score per cluster; the blocks
+	// cost their length prefixes.
+	rows := r.count(4+8*k, 4+4*k)
+	assign := r.indices(rows, clusters, true, "assignment")
+	if r.err != nil {
+		return nil, r.err
 	}
 	var scores [][]float64
 	if kind != ScoreNone {
-		if uint64(clusters)*uint64(rows)*8 > maxBlockBytes {
-			return nil, errf("%d clusters x %d rows of scores exceeds payload limit", clusters, rows)
-		}
-		scores = make([][]float64, clusters)
-		for c := range scores {
-			scores[c], err = readColumn(r, int(rows))
-			if err != nil {
-				return nil, errf("cluster %d scores: %v", c, err)
-			}
-		}
+		scores = r.columns(int(k), rows)
 	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after cluster result", len(b)-r.off)
+	if err := r.end("cluster result"); err != nil {
+		return nil, err
 	}
 	return &ClusterResult{
 		Clusters:    int(clusters),
@@ -213,86 +162,46 @@ type RegressResult struct {
 //	str target        the attribute the predictions estimate
 //	u32 rows
 //	length-prefixed float64 column of rows predictions
-func MarshalRegressResult(res *RegressResult) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 16+len(res.Target)+8*len(res.Values))}
+func MarshalRegressResult(res *RegressResult) ([]byte, error) { return appendRegressResult(nil, res) }
+
+func appendRegressResult(b []byte, res *RegressResult) ([]byte, error) {
+	w := writer{buf: grow(b, 4+1+4+len(res.Target)+4+4+8*len(res.Values))}
 	w.buf = append(w.buf, magicRegress...)
 	w.u8(version)
 	w.str(res.Target)
 	w.u32(uint32(len(res.Values)))
-	writeColumn(w, res.Values)
+	w.column(res.Values)
 	return w.buf, nil
 }
 
 // UnmarshalRegressResult decodes one DMV1 block.
 func UnmarshalRegressResult(b []byte) (*RegressResult, error) {
-	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	r := open(b, magicRegress, "dmv1")
+	target := r.str()
+	vals := make([]float64, r.count(8, 4))
+	r.column(vals)
+	if err := r.end("regression result"); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicRegress {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicRegress)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmv1 version %d", v)
-	}
-	target, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(rows)*8 > maxBlockBytes {
-		return nil, errf("%d rows exceeds payload limit", rows)
-	}
-	vals, err := readColumn(r, int(rows))
-	if err != nil {
-		return nil, errf("predictions: %v", err)
-	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after regression result", len(b)-r.off)
 	}
 	return &RegressResult{Target: target, Values: vals}, nil
 }
 
 // MarshalClusterResultBase64 encodes a cluster result base64-wrapped.
 func MarshalClusterResultBase64(res *ClusterResult) (string, error) {
-	b, err := MarshalClusterResult(res)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
+	return encodeBase64(res, appendClusterResult)
 }
 
 // UnmarshalClusterResultBase64 decodes a base64-wrapped DMC1 block.
 func UnmarshalClusterResultBase64(s string) (*ClusterResult, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("cluster result is not valid base64: %v", err)
-	}
-	return UnmarshalClusterResult(b)
+	return decodeBase64(s, "cluster result", UnmarshalClusterResult)
 }
 
 // MarshalRegressResultBase64 encodes a regression result base64-wrapped.
 func MarshalRegressResultBase64(res *RegressResult) (string, error) {
-	b, err := MarshalRegressResult(res)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
+	return encodeBase64(res, appendRegressResult)
 }
 
 // UnmarshalRegressResultBase64 decodes a base64-wrapped DMV1 block.
 func UnmarshalRegressResultBase64(s string) (*RegressResult, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("regression result is not valid base64: %v", err)
-	}
-	return UnmarshalRegressResult(b)
+	return decodeBase64(s, "regression result", UnmarshalRegressResult)
 }

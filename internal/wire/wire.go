@@ -30,12 +30,15 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
+	"repro/internal/bufpool"
 	"repro/internal/dataset"
 )
 
@@ -59,93 +62,196 @@ const (
 
 	noClass = 0xFFFFFFFF
 
-	// maxBlockBytes bounds any single length-prefixed block so a corrupt
-	// length cannot drive a multi-gigabyte allocation. It comfortably
-	// exceeds the SOAP layer's 64 MiB envelope cap.
-	maxBlockBytes = 256 << 20
+	// maxPooled caps the scratch buffers kept for reuse between calls.
+	maxPooled = 4 << 20
 )
 
 // Encoding is the value of the SOAP `encoding` part that selects this
 // codec on batch operations.
 const Encoding = "dmb1"
 
+// scratch holds the raw blocks the base64 wrappers encode into and
+// decode out of. Decoders copy everything they keep, so a block's
+// buffer goes back as soon as its decoder returns.
+var scratch = bufpool.New(maxPooled)
+
+// grow returns b with room for n more bytes, allocating at most once
+// and exactly what is asked for, so an encoder that presizes its block
+// makes one allocation of the block's size.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	return append(make([]byte, 0, len(b)+n), b...)
+}
+
+// writer appends to a buffer its encoder presized exactly.
 type writer struct{ buf []byte }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
-func (w *writer) f64(v float64) {
-	if math.IsNaN(v) {
-		v = math.NaN() // canonical NaN for missing
+
+// column appends a length-prefixed float64 block as one run, missing
+// values as the canonical NaN.
+func (w *writer) column(col []float64) {
+	w.u32(uint32(8 * len(col)))
+	off := len(w.buf)
+	w.buf = grow(w.buf, 8*len(col))[:off+8*len(col)]
+	b := w.buf[off:]
+	for i, v := range col {
+		if v != v {
+			v = math.NaN()
+		}
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
-	w.u64(math.Float64bits(v))
 }
 
+// reader decodes a block with a sticky error: after the first failure
+// every read returns zero values, so decoders check err only where it
+// matters — before they allocate, and at the end.
 type reader struct {
 	buf []byte
 	off int
+	err error
 }
 
-func (r *reader) need(n int) error {
-	if n < 0 || r.off+n > len(r.buf) {
-		return errf("truncated payload at offset %d (need %d of %d bytes)", r.off, n, len(r.buf))
+// need reports whether n more bytes are left, recording a truncation
+// error when they are not.
+func (r *reader) need(n uint64) bool {
+	if r.err != nil {
+		return false
 	}
-	return nil
+	if n > uint64(len(r.buf)-r.off) {
+		r.err = errf("truncated payload at offset %d (need %d of %d bytes)", r.off, n, len(r.buf))
+		return false
+	}
+	return true
 }
 
-func (r *reader) u8() (uint8, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
+func (r *reader) u8() uint8 {
+	if !r.need(1) {
+		return 0
 	}
-	v := r.buf[r.off]
 	r.off++
-	return v, nil
+	return r.buf[r.off-1]
 }
 
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
+func (r *reader) u32() uint32 {
+	if !r.need(4) {
+		return 0
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
 	r.off += 4
-	return v, nil
+	return binary.LittleEndian.Uint32(r.buf[r.off-4:])
 }
 
-func (r *reader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
+func (r *reader) str() string {
+	n := r.u32()
+	if !r.need(uint64(n)) {
+		return ""
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxBlockBytes {
-		return "", errf("string block of %d bytes exceeds limit", n)
-	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
 	r.off += int(n)
-	return s, nil
+	return string(r.buf[r.off-int(n) : r.off])
 }
 
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
+// count reads a u32 element count and bounds it by the bytes left: the
+// elements need at least fixed bytes plus each per element. A corrupt
+// count fails here, before it can size an allocation the payload does
+// not back.
+func (r *reader) count(each, fixed uint64) int {
+	n := uint64(r.u32())
+	left := uint64(len(r.buf) - r.off)
+	if r.err == nil && (fixed > left || each > 0 && n > (left-fixed)/each) {
+		r.err = errf("count %d at offset %d needs more than the %d bytes left", n, r.off-4, left)
 	}
-	return math.Float64frombits(v), nil
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// column reads a length-prefixed float64 block of exactly len(dst)
+// values into dst as one bounds-checked run.
+func (r *reader) column(dst []float64) {
+	n := r.u32()
+	if r.err == nil && uint64(n) != 8*uint64(len(dst)) {
+		r.err = errf("column block is %d bytes, want %d for %d rows", n, 8*len(dst), len(dst))
+	}
+	if !r.need(uint64(n)) {
+		return
+	}
+	b := r.buf[r.off : r.off+int(n)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	r.off += int(n)
+}
+
+// columns reads k float64 blocks of rows values each, carved from one
+// slab. The caller bounds k and rows by the bytes left first.
+func (r *reader) columns(k, rows int) [][]float64 {
+	slab := make([]float64, k*rows)
+	cols := make([][]float64, k)
+	for j := range cols {
+		cols[j] = slab[j*rows : (j+1)*rows : (j+1)*rows]
+		r.column(cols[j])
+	}
+	return cols
+}
+
+// indices reads a length-prefixed block of rows u32 indices, each below
+// limit; with noise, 0xFFFFFFFF decodes as -1.
+func (r *reader) indices(rows int, limit uint32, noise bool, what string) []int {
+	n := r.u32()
+	if r.err == nil && uint64(n) != 4*uint64(rows) {
+		r.err = errf("%s block is %d bytes, want %d for %d rows", what, n, 4*rows, rows)
+	}
+	if !r.need(uint64(n)) {
+		return nil
+	}
+	b := r.buf[r.off : r.off+int(n)]
+	out := make([]int, rows)
+	for i := range out {
+		v := binary.LittleEndian.Uint32(b[4*i:])
+		switch {
+		case noise && v == noAssign:
+			out[i] = -1
+		case v >= limit:
+			r.err = errf("row %d %s %d out of range for %d", i, what, v, limit)
+			return nil
+		default:
+			out[i] = int(v)
+		}
+	}
+	r.off += int(n)
+	return out
+}
+
+// open starts decoding a block: it checks the magic and version.
+func open(b []byte, magic, name string) *reader {
+	r := &reader{buf: b}
+	switch {
+	case !r.need(4):
+	case string(b[:4]) != magic:
+		r.err = errf("bad magic %q, want %q", b[:4], magic)
+	default:
+		r.off = 4
+		if v := r.u8(); r.err == nil && v != version {
+			r.err = errf("unsupported %s version %d", name, v)
+		}
+	}
+	return r
+}
+
+// end finishes decoding: the first error, or trailing bytes, fail it.
+func (r *reader) end(what string) error {
+	if r.err == nil && r.off != len(r.buf) {
+		r.err = errf("%d trailing bytes after %s", len(r.buf)-r.off, what)
+	}
+	return r.err
 }
 
 func kindCode(k dataset.Kind) (uint8, error) {
@@ -161,21 +267,20 @@ func kindCode(k dataset.Kind) (uint8, error) {
 	}
 }
 
-func kindFromCode(c uint8) (dataset.Kind, error) {
-	switch c {
-	case 0:
-		return dataset.Numeric, nil
-	case 1:
-		return dataset.Nominal, nil
-	case 2:
-		return dataset.String, nil
-	default:
-		return 0, errf("unknown attribute kind code %d", c)
+// schemaSize is the encoded length of the schema section, digest included.
+func schemaSize(relation string, attrs []*dataset.Attribute) int {
+	n := 4 + len(relation) + 4 + 4 + 8
+	for _, a := range attrs {
+		n += 4 + len(a.Name) + 1 + 4
+		for i := 0; i < a.NumValues(); i++ {
+			n += 4 + len(a.Value(i))
+		}
 	}
+	return n
 }
 
 // writeSchema appends the schema section (relation through attribute
-// table) and returns the byte range it occupies, for digesting.
+// table) followed by its digest.
 func writeSchema(w *writer, relation string, classIndex int, attrs []*dataset.Attribute) error {
 	start := len(w.buf)
 	w.str(relation)
@@ -203,204 +308,110 @@ func writeSchema(w *writer, relation string, classIndex int, attrs []*dataset.At
 }
 
 // readSchema parses the schema section, verifying its digest.
-func readSchema(r *reader) (relation string, classIndex int, attrs []*dataset.Attribute, err error) {
+func readSchema(r *reader) (relation string, classIndex int, attrs []*dataset.Attribute) {
 	start := r.off
-	relation, err = r.str()
-	if err != nil {
-		return "", 0, nil, err
+	relation = r.str()
+	ci := r.u32()
+	// An attribute takes at least a name length, a kind and a value count.
+	attrs = make([]*dataset.Attribute, 0, r.count(9, 8))
+	for i := 0; i < cap(attrs) && r.err == nil; i++ {
+		name := r.str()
+		kc := r.u8()
+		vals := make([]string, r.count(4, 0))
+		for v := range vals {
+			vals[v] = r.str()
+		}
+		if r.err != nil {
+			break
+		}
+		var a *dataset.Attribute
+		switch kc {
+		case 0:
+			a = dataset.NewNumericAttribute(name)
+		case 1:
+			a = dataset.NewNominalAttribute(name, vals...)
+		case 2:
+			a = dataset.NewStringAttribute(name)
+			for _, s := range vals {
+				if _, err := a.Intern(s); err != nil {
+					r.err = errf("attribute %q: %v", name, err)
+				}
+			}
+		default:
+			r.err = errf("unknown attribute kind code %d", kc)
+		}
+		attrs = append(attrs, a)
 	}
-	ci, err := r.u32()
-	if err != nil {
-		return "", 0, nil, err
+	schemaEnd := r.off
+	if r.need(8) {
+		if sum := sha256.Sum256(r.buf[start:schemaEnd]); !bytes.Equal(sum[:8], r.buf[schemaEnd:schemaEnd+8]) {
+			r.err = errf("schema digest mismatch: payload corrupt")
+		}
+		r.off += 8
 	}
 	classIndex = -1
 	if ci != noClass {
 		classIndex = int(ci)
 	}
-	attrCount, err := r.u32()
-	if err != nil {
-		return "", 0, nil, err
+	if r.err == nil && classIndex >= len(attrs) {
+		r.err = errf("class index %d out of range for %d attributes", classIndex, len(attrs))
 	}
-	if attrCount > 1<<20 {
-		return "", 0, nil, errf("attribute count %d exceeds limit", attrCount)
-	}
-	attrs = make([]*dataset.Attribute, 0, attrCount)
-	for i := uint32(0); i < attrCount; i++ {
-		name, err := r.str()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		kc, err := r.u8()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		kind, err := kindFromCode(kc)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		valCount, err := r.u32()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		if valCount > 1<<24 {
-			return "", 0, nil, errf("attribute %q declares %d values", name, valCount)
-		}
-		vals := make([]string, 0, valCount)
-		for v := uint32(0); v < valCount; v++ {
-			s, err := r.str()
-			if err != nil {
-				return "", 0, nil, err
-			}
-			vals = append(vals, s)
-		}
-		var a *dataset.Attribute
-		switch kind {
-		case dataset.Numeric:
-			a = dataset.NewNumericAttribute(name)
-		case dataset.Nominal:
-			a = dataset.NewNominalAttribute(name, vals...)
-		case dataset.String:
-			a = dataset.NewStringAttribute(name)
-			for _, s := range vals {
-				if _, err := a.Intern(s); err != nil {
-					return "", 0, nil, errf("attribute %q: %v", name, err)
-				}
-			}
-		}
-		attrs = append(attrs, a)
-	}
-	schemaEnd := r.off
-	if err := r.need(8); err != nil {
-		return "", 0, nil, err
-	}
-	sum := sha256.Sum256(r.buf[start:schemaEnd])
-	for i := 0; i < 8; i++ {
-		if r.buf[schemaEnd+i] != sum[i] {
-			return "", 0, nil, errf("schema digest mismatch: payload corrupt")
-		}
-	}
-	r.off += 8
-	if classIndex >= len(attrs) {
-		return "", 0, nil, errf("class index %d out of range for %d attributes", classIndex, len(attrs))
-	}
-	return relation, classIndex, attrs, nil
-}
-
-// writeColumn appends a length-prefixed float64 block.
-func writeColumn(w *writer, col []float64) {
-	w.u32(uint32(8 * len(col)))
-	for _, v := range col {
-		w.f64(v)
-	}
-}
-
-// readColumn parses a length-prefixed float64 block of exactly rows values.
-func readColumn(r *reader, rows int) ([]float64, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBlockBytes {
-		return nil, errf("column block of %d bytes exceeds limit", n)
-	}
-	if int(n) != 8*rows {
-		return nil, errf("column block is %d bytes, want %d for %d rows", n, 8*rows, rows)
-	}
-	col := make([]float64, rows)
-	for i := range col {
-		col[i], err = r.f64()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
+	return relation, classIndex, attrs
 }
 
 // Marshal encodes the dataset as one dmb1 block. Weights are encoded
 // only when any instance weight differs from 1.
-func Marshal(d *dataset.Dataset) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 64+8*len(d.Instances)*len(d.Attrs))}
-	w.buf = append(w.buf, magicDataset...)
-	w.u8(version)
+func Marshal(d *dataset.Dataset) ([]byte, error) { return appendDataset(nil, d) }
 
-	weights := d.WeightsSlice()
-	hasWeights := false
-	for _, wt := range weights {
-		if wt != 1 {
-			hasWeights = true
+func appendDataset(b []byte, d *dataset.Dataset) ([]byte, error) {
+	flags, rows, ncols := uint8(0), len(d.Instances), len(d.Attrs)
+	for _, in := range d.Instances {
+		if in.Weight != 1 {
+			flags, ncols = flagWeights, ncols+1
 			break
 		}
 	}
-	flags := uint8(0)
-	if hasWeights {
-		flags |= flagWeights
-	}
+	w := writer{buf: grow(b, 4+1+1+schemaSize(d.Relation, d.Attrs)+4+ncols*(4+8*rows))}
+	w.buf = append(w.buf, magicDataset...)
+	w.u8(version)
 	w.u8(flags)
-
-	if err := writeSchema(w, d.Relation, d.ClassIndex, d.Attrs); err != nil {
+	if err := writeSchema(&w, d.Relation, d.ClassIndex, d.Attrs); err != nil {
 		return nil, err
 	}
-	w.u32(uint32(len(d.Instances)))
+	w.u32(uint32(rows))
 	for _, col := range d.Columns() {
-		writeColumn(w, col)
+		w.column(col)
 	}
-	if hasWeights {
-		writeColumn(w, weights)
+	if flags&flagWeights != 0 {
+		w.column(d.WeightsSlice())
 	}
 	return w.buf, nil
 }
 
-// Unmarshal decodes one dmb1 block into a column-backed dataset. The
-// decoded column slices become the dataset's columnar backing directly;
+// Unmarshal decodes one dmb1 block into a column-backed dataset. Every
+// column, the weights included, is carved from one slab that becomes
+// the dataset's columnar backing; b is not retained.
 // dataset.FromColumns validates nominal indices so corrupt payloads
 // surface as errors, never panics.
 func Unmarshal(b []byte) (*dataset.Dataset, error) {
-	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	r := open(b, magicDataset, "dmb1")
+	flags := r.u8()
+	relation, classIndex, attrs := readSchema(r)
+	ncols := uint64(len(attrs))
+	if flags&flagWeights != 0 {
+		ncols++
+	}
+	rows := r.count(8*ncols, 4*ncols)
+	if r.err != nil {
+		return nil, r.err
+	}
+	cols := r.columns(int(ncols), rows)
+	if err := r.end("payload"); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicDataset {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicDataset)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmb1 version %d", v)
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	relation, classIndex, attrs, err := readSchema(r)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(rows)*uint64(len(attrs))*8 > maxBlockBytes {
-		return nil, errf("%d rows x %d attributes exceeds payload limit", rows, len(attrs))
-	}
-	cols := make([][]float64, len(attrs))
-	for j := range cols {
-		cols[j], err = readColumn(r, int(rows))
-		if err != nil {
-			return nil, errf("attribute %q: %v", attrs[j].Name, err)
-		}
 	}
 	var weights []float64
 	if flags&flagWeights != 0 {
-		weights, err = readColumn(r, int(rows))
-		if err != nil {
-			return nil, errf("weights: %v", err)
-		}
-	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after payload", len(b)-r.off)
+		weights, cols = cols[len(attrs)], cols[:len(attrs)]
 	}
 	d, err := dataset.FromColumns(relation, attrs, classIndex, cols, weights)
 	if err != nil {
@@ -425,7 +436,9 @@ type Result struct {
 //	u32 rows
 //	labels block: u32 byte length, rows u32 indices
 //	per class: length-prefixed float64 column of rows probabilities
-func MarshalResult(res *Result) ([]byte, error) {
+func MarshalResult(res *Result) ([]byte, error) { return appendResult(nil, res) }
+
+func appendResult(b []byte, res *Result) ([]byte, error) {
 	rows := len(res.Labels)
 	if len(res.Distributions) != len(res.Classes) {
 		return nil, errf("%d distribution columns for %d classes", len(res.Distributions), len(res.Classes))
@@ -435,7 +448,11 @@ func MarshalResult(res *Result) ([]byte, error) {
 			return nil, errf("class %d distribution has %d rows, want %d", c, len(col), rows)
 		}
 	}
-	w := &writer{buf: make([]byte, 0, 32+4*rows+8*rows*len(res.Classes))}
+	size := 4 + 1 + 4 + 4 + 4 + 4*rows + len(res.Classes)*(4+8*rows)
+	for _, name := range res.Classes {
+		size += 4 + len(name)
+	}
+	w := writer{buf: grow(b, size)}
 	w.buf = append(w.buf, magicResult...)
 	w.u8(version)
 	w.u32(uint32(len(res.Classes)))
@@ -451,114 +468,81 @@ func MarshalResult(res *Result) ([]byte, error) {
 		w.u32(uint32(l))
 	}
 	for _, col := range res.Distributions {
-		writeColumn(w, col)
+		w.column(col)
 	}
 	return w.buf, nil
 }
 
 // UnmarshalResult decodes one DMR1 block.
 func UnmarshalResult(b []byte) (*Result, error) {
-	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	r := open(b, magicResult, "dmr1")
+	classes := make([]string, r.count(4, 0))
+	for i := range classes {
+		classes[i] = r.str()
+	}
+	k := uint64(len(classes))
+	// A row costs a label and one cell per class; the blocks cost their
+	// length prefixes.
+	rows := r.count(4+8*k, 4+4*k)
+	labels := r.indices(rows, uint32(k), false, "label")
+	if r.err != nil {
+		return nil, r.err
+	}
+	dists := r.columns(len(classes), rows)
+	if err := r.end("result"); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicResult {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicResult)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmr1 version %d", v)
-	}
-	classCount, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if classCount > 1<<24 {
-		return nil, errf("class count %d exceeds limit", classCount)
-	}
-	classes := make([]string, 0, classCount)
-	for i := uint32(0); i < classCount; i++ {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		classes = append(classes, s)
-	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBlockBytes {
-		return nil, errf("label block of %d bytes exceeds limit", n)
-	}
-	if int(n) != 4*int(rows) {
-		return nil, errf("label block is %d bytes, want %d for %d rows", n, 4*rows, rows)
-	}
-	labels := make([]int, rows)
-	for i := range labels {
-		l, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if l >= classCount {
-			return nil, errf("row %d label %d out of range for %d classes", i, l, classCount)
-		}
-		labels[i] = int(l)
-	}
-	dists := make([][]float64, classCount)
-	for c := range dists {
-		dists[c], err = readColumn(r, int(rows))
-		if err != nil {
-			return nil, errf("class %q distribution: %v", classes[c], err)
-		}
-	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after result", len(b)-r.off)
 	}
 	return &Result{Classes: classes, Labels: labels, Distributions: dists}, nil
 }
 
-// MarshalBase64 encodes the dataset and wraps it in standard base64 for
-// transport as an XML-safe SOAP part.
-func MarshalBase64(d *dataset.Dataset) (string, error) {
-	b, err := Marshal(d)
+// encodeBase64 encodes v into a pooled scratch buffer, then
+// base64-encodes that once, straight into the returned string.
+func encodeBase64[T any](v T, enc func([]byte, T) ([]byte, error)) (string, error) {
+	b, err := enc(scratch.Get(0), v)
 	if err != nil {
 		return "", err
 	}
-	return base64.StdEncoding.EncodeToString(b), nil
+	var s strings.Builder
+	s.Grow(base64.StdEncoding.EncodedLen(len(b)))
+	e := base64.NewEncoder(base64.StdEncoding, &s)
+	_, _ = e.Write(b)
+	_ = e.Close()
+	scratch.Put(b)
+	return s.String(), nil
 }
+
+// decodeBase64 base64-decodes s into a pooled scratch buffer and runs
+// dec over the block; decoders copy out what they keep, so the buffer
+// is recycled when dec returns. s is first copied into the scratch too:
+// the decoder reads bytes, and that copy is cheaper than []byte(s)'s
+// allocation. Line breaks in s are ignored.
+func decodeBase64[T any](s, what string, dec func([]byte) (T, error)) (T, error) {
+	buf := scratch.Get(len(s) + base64.StdEncoding.DecodedLen(len(s)))
+	src := append(buf, s...)
+	n, err := base64.StdEncoding.Decode(src[len(s):cap(src)], src)
+	var v T
+	if err != nil {
+		err = errf("%s is not valid base64: %v", what, err)
+	} else {
+		v, err = dec(src[len(s) : len(s)+n])
+	}
+	scratch.Put(buf)
+	return v, err
+}
+
+// MarshalBase64 encodes the dataset and wraps it in standard base64 for
+// transport as an XML-safe SOAP part.
+func MarshalBase64(d *dataset.Dataset) (string, error) { return encodeBase64(d, appendDataset) }
 
 // UnmarshalBase64 decodes a base64-wrapped dmb1 block.
 func UnmarshalBase64(s string) (*dataset.Dataset, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("payload is not valid base64: %v", err)
-	}
-	return Unmarshal(b)
+	return decodeBase64(s, "payload", Unmarshal)
 }
 
 // MarshalResultBase64 encodes a scoring result base64-wrapped.
-func MarshalResultBase64(res *Result) (string, error) {
-	b, err := MarshalResult(res)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
-}
+func MarshalResultBase64(res *Result) (string, error) { return encodeBase64(res, appendResult) }
 
 // UnmarshalResultBase64 decodes a base64-wrapped DMR1 block.
 func UnmarshalResultBase64(s string) (*Result, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("result is not valid base64: %v", err)
-	}
-	return UnmarshalResult(b)
+	return decodeBase64(s, "result", UnmarshalResult)
 }

@@ -8,7 +8,8 @@
 # the journaled-workflow kill/resume drill, and the chained
 # filterBatch -> clusterBatch binary-pipeline drill. The columnar batch
 # kernels (cluster/regress/filter) get a targeted -race sweep of their
-# bit-identity tests, and the SOAP envelope codec a short fuzz pass.
+# bit-identity tests, and the SOAP envelope codec, the block decoders and
+# the ARFF parser a short fuzz pass each.
 # Run from the repo root.
 set -eux
 
@@ -42,6 +43,15 @@ go test -race ./...
 # message or fault) and the escaper to xml.EscapeText, byte for byte.
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 20s -parallel 2 ./internal/soap/
 go test -run '^$' -fuzz '^FuzzEscape$' -fuzztime 10s -parallel 2 ./internal/soap/
+
+# The block decoders and the ARFF parser read untrusted bytes too. The
+# wire targets hold every decoder to bounded allocation (a header cannot
+# claim more than its bytes back) and every accepted block to a
+# bit-exact re-encode; the ARFF target holds the parser and writer to the
+# reference copies in reference_test.go.
+go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 15s -parallel 2 ./internal/wire/
+go test -run '^$' -fuzz '^FuzzUnmarshalResult$' -fuzztime 15s -parallel 2 ./internal/wire/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s -parallel 2 ./internal/arff/
 
 # The parallel kernels get a dedicated -race pass: the determinism and
 # cancellation tests must hold when the fold/member/assignment fan-out
