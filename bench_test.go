@@ -30,6 +30,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/signal"
 	"repro/internal/soap"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/viz"
 	"repro/internal/workflow"
@@ -162,12 +163,13 @@ func BenchmarkCachedBackendSizes(b *testing.B) {
 	const distinctKeys = 8
 	for _, size := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("pool%d", size), func(b *testing.B) {
-			store, err := model.NewStore(b.TempDir())
+			st, err := store.Open(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer st.Close()
 			backend := harness.NewCachedBackend(size)
-			backend.Overflow = store
+			backend.Durable = st
 			probe := d.Instances[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

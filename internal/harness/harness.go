@@ -15,8 +15,10 @@ package harness
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -96,8 +98,7 @@ func (b *SerialisingBackend) Invocations() int64 {
 }
 
 // CachedBackend is the paper's harness: instances stay in memory between
-// invocations, bounded by an LRU pool. Evicted instances are serialised to
-// the optional overflow store so no state is lost.
+// invocations, bounded by an LRU pool.
 //
 // With Durable set, the pool demotes to the memory tier of a two-level
 // read-through hierarchy over the content-addressed artifact store: a
@@ -105,22 +106,35 @@ func (b *SerialisingBackend) Invocations() int64 {
 // instance is snapshotted into the store — so an eviction (or a process
 // death, when the store directory is shared between replicas) costs a
 // deserialisation, never a retrain.
+//
+// The pool lock guards only the LRU list, the item map and the in-flight
+// loads, never a build or store round trip: a hit on one key never waits
+// behind a training run for another, and concurrent misses on one key
+// share a single load.
 type CachedBackend struct {
 	// MaxEntries bounds the pool (0 = unbounded).
 	MaxEntries int
-	// Overflow, when set, receives evicted instances.
-	Overflow *model.Store
 	// Durable, when set, is the persistent snapshot tier under the pool.
 	Durable *store.Store
 	// Obs receives the pool's hit/miss/eviction metrics; nil means
 	// obs.Default.
 	Obs *obs.Registry
 
-	mu     sync.Mutex
-	ll     *list.List // front = most recent
-	items  map[string]*list.Element
-	calls  int64
-	builds int64
+	mu      sync.Mutex
+	ll      *list.List // front = most recent
+	items   map[string]*list.Element
+	flights map[string]*flight
+	calls   atomic.Int64
+	builds  atomic.Int64
+}
+
+// flight is one in-progress miss. The caller that registered it loads the
+// instance outside the pool lock; callers for the same key wait on done
+// and share c and err.
+type flight struct {
+	done chan struct{}
+	c    classify.Classifier
+	err  error
 }
 
 func (b *CachedBackend) obsReg() *obs.Registry {
@@ -137,88 +151,103 @@ type cacheItem struct {
 
 // NewCachedBackend returns a harness with the given pool bound.
 func NewCachedBackend(maxEntries int) *CachedBackend {
-	return &CachedBackend{MaxEntries: maxEntries,
-		ll: list.New(), items: map[string]*list.Element{}}
+	return &CachedBackend{MaxEntries: maxEntries}
 }
 
 // Acquire implements Backend.
 func (b *CachedBackend) Acquire(key string, build Builder) (classify.Classifier, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.ll == nil {
-		b.ll = list.New()
-		b.items = map[string]*list.Element{}
-	}
 	reg := b.obsReg()
-	if el, ok := b.items[key]; ok {
-		b.ll.MoveToFront(el)
-		reg.Counter("harness_cache_hits_total").Inc()
-		return el.Value.(*cacheItem).c, nil
-	}
-	reg.Counter("harness_cache_misses_total").Inc()
-	// Read through the tiers before building from scratch: the legacy
-	// overflow store, then the durable snapshot store (which another
-	// replica may have populated).
-	var c classify.Classifier
-	if b.Overflow != nil {
-		if loaded, err := b.Overflow.Load(key); err == nil {
-			c = loaded
+	for {
+		b.mu.Lock()
+		if b.ll == nil {
+			b.ll = list.New()
+			b.items = map[string]*list.Element{}
+			b.flights = map[string]*flight{}
 		}
+		if el, ok := b.items[key]; ok {
+			b.ll.MoveToFront(el)
+			c := el.Value.(*cacheItem).c
+			b.mu.Unlock()
+			reg.Counter("harness_cache_hits_total").Inc()
+			return c, nil
+		}
+		if f, ok := b.flights[key]; ok {
+			b.mu.Unlock()
+			reg.Counter("harness_cache_shared_total").Inc()
+			<-f.done
+			// The leader's deadline is not ours: retry, leading if need be.
+			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+				continue
+			}
+			return f.c, f.err
+		}
+		f := &flight{done: make(chan struct{})}
+		b.flights[key] = f
+		b.mu.Unlock()
+		reg.Counter("harness_cache_misses_total").Inc()
+		return b.load(reg, key, build, f)
 	}
-	if c == nil && b.Durable != nil {
+}
+
+// load runs a miss's read-through outside the pool lock — the durable
+// snapshot, else build plus a best-effort snapshot — then pools the
+// instance, retires the flight and hands the outcome to its waiters.
+// Errors are never pooled, so the next Acquire retries.
+func (b *CachedBackend) load(reg *obs.Registry, key string, build Builder, f *flight) (c classify.Classifier, err error) {
+	defer func() {
+		if c == nil && err == nil { // a panic is unwinding through here
+			err = fmt.Errorf("harness: loading instance %q panicked", key)
+		}
+		b.mu.Lock()
+		delete(b.flights, key)
+		if err == nil {
+			b.items[key] = b.ll.PushFront(&cacheItem{key: key, c: c})
+			if b.MaxEntries > 0 && b.ll.Len() > b.MaxEntries {
+				oldest := b.ll.Remove(b.ll.Back()).(*cacheItem)
+				delete(b.items, oldest.key)
+				reg.Counter("harness_cache_evictions_total").Inc()
+			}
+			reg.Gauge("harness_cache_entries").Set(int64(b.ll.Len()))
+		}
+		b.mu.Unlock()
+		f.c, f.err = c, err
+		close(f.done)
+	}()
+	// The durable snapshot store may have been populated by another
+	// replica.
+	if b.Durable != nil {
 		if blob, _, err := b.Durable.Get(key); err == nil {
 			if loaded, err := model.Unmarshal(blob); err == nil {
-				c = loaded
 				reg.Counter("harness_store_restores_total").Inc()
-			} else {
-				// A snapshot that no longer decodes (schema drift) is not
-				// fatal: fall through to a rebuild.
-				reg.Counter("harness_store_decode_errors_total").Inc()
+				return loaded, nil
 			}
+			// A snapshot that no longer decodes (schema drift) is not
+			// fatal: fall through to a rebuild.
+			reg.Counter("harness_store_decode_errors_total").Inc()
 		}
 	}
-	if c == nil {
-		built, err := build()
-		if err != nil {
-			return nil, fmt.Errorf("harness: building instance %q: %w", key, err)
-		}
-		c = built
-		b.builds++
-		reg.Counter("harness_builds_total").Inc()
-		if b.Durable != nil {
-			b.snapshot(reg, key, c)
-		}
+	built, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("harness: building instance %q: %w", key, err)
 	}
-	el := b.ll.PushFront(&cacheItem{key: key, c: c})
-	b.items[key] = el
-	if b.MaxEntries > 0 && b.ll.Len() > b.MaxEntries {
-		oldest := b.ll.Back()
-		b.ll.Remove(oldest)
-		it := oldest.Value.(*cacheItem)
-		delete(b.items, it.key)
-		reg.Counter("harness_cache_evictions_total").Inc()
-		if b.Overflow != nil {
-			if err := b.Overflow.Save(it.key, it.c); err != nil {
-				return nil, err
-			}
-		}
+	b.builds.Add(1)
+	reg.Counter("harness_builds_total").Inc()
+	if b.Durable != nil {
+		b.snapshot(reg, key, built)
 	}
-	reg.Gauge("harness_cache_entries").Set(int64(b.ll.Len()))
-	return c, nil
+	return built, nil
 }
 
 // Release implements Backend: a no-op beyond accounting — the instance
 // stays live in memory, which is the entire point of the harness.
 func (b *CachedBackend) Release(key string, c classify.Classifier) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.calls++
+	b.calls.Add(1)
 	return nil
 }
 
 // snapshot persists a freshly built instance into the durable store,
 // best-effort: a model without a serialised form stays memory-only (the
-// §4.5 behaviour), it does not fail the invocation. Caller holds b.mu.
+// §4.5 behaviour), it does not fail the invocation.
 func (b *CachedBackend) snapshot(reg *obs.Registry, key string, c classify.Classifier) {
 	began := time.Now()
 	blob, err := model.Marshal(c)
@@ -235,9 +264,7 @@ func (b *CachedBackend) snapshot(reg *obs.Registry, key string, c classify.Class
 
 // Invocations implements Backend.
 func (b *CachedBackend) Invocations() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.calls
+	return b.calls.Load()
 }
 
 // Builds returns how many times Acquire had to invoke a builder — i.e.
@@ -245,9 +272,7 @@ func (b *CachedBackend) Invocations() int64 {
 // snapshot tier. The cross-replica failover drill asserts this stays 0 on
 // the replica that resumes a session it never trained.
 func (b *CachedBackend) Builds() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.builds
+	return b.builds.Load()
 }
 
 // Len returns the number of pooled instances.

@@ -8,6 +8,8 @@ import (
 	"repro/internal/classify"
 	"repro/internal/datagen"
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func j48Builder(t *testing.T, builds *int64) Builder {
@@ -111,7 +113,7 @@ func TestCachedBackendLRUEviction(t *testing.T) {
 		t.Fatalf("pool holds %d, want 2", cache.Len())
 	}
 	before := builds
-	// "a" was evicted without an overflow store: it must rebuild.
+	// "a" was evicted and there is no durable tier: it must rebuild.
 	if err := Invoke(cache, "a", build, func(classify.Classifier) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +122,17 @@ func TestCachedBackendLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCachedBackendOverflowStore(t *testing.T) {
+func TestCachedBackendDurableRestore(t *testing.T) {
 	var builds int64
-	store, _ := model.NewStore(t.TempDir())
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := obs.NewRegistry()
 	cache := NewCachedBackend(1)
-	cache.Overflow = store
+	cache.Durable = st
+	cache.Obs = reg
 	build := j48Builder(t, &builds)
 	if err := Invoke(cache, "a", build, func(classify.Classifier) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -132,13 +140,17 @@ func TestCachedBackendOverflowStore(t *testing.T) {
 	if err := Invoke(cache, "b", build, func(classify.Classifier) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	// "a" was evicted to the overflow store: re-acquiring must load, not build.
+	// "a" was evicted but snapshotted when built: re-acquiring must restore
+	// it from the durable tier, not build.
 	before := builds
 	if err := Invoke(cache, "a", build, func(classify.Classifier) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if builds != before {
-		t.Fatalf("overflowed key rebuilt instead of loading")
+		t.Fatalf("evicted key rebuilt instead of restoring")
+	}
+	if got := reg.Counter("harness_store_restores_total").Value(); got != 1 {
+		t.Fatalf("restores = %d, want 1", got)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"repro/internal/obs"
 )
 
-// TestCachedBackendCacheMetrics drives the pool through misses, hits and an
-// eviction with an injected obs registry and checks every counter moves
+// TestCachedBackendCacheMetrics drives the pool through misses, hits,
+// evictions and a shared load with an injected obs registry and checks every counter moves
 // exactly as the LRU does.
 func TestCachedBackendCacheMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -64,5 +64,27 @@ func TestCachedBackendCacheMetrics(t *testing.T) {
 	}
 	if misses.Value() != 4 {
 		t.Fatalf("evicted key re-acquire: misses=%d, want 4", misses.Value())
+	}
+
+	// A caller that arrives while another caller's miss is loading joins
+	// that load: it counts as shared, not as a second miss or a hit.
+	shared := reg.Counter("harness_cache_shared_total")
+	if shared.Value() != 0 {
+		t.Fatalf("shared = %d before any concurrent miss", shared.Value())
+	}
+	p := newParked()
+	leader := acquireAsync(b, "d", p.build)
+	<-p.started
+	follower := acquireAsync(b, "d", mustNotBuild(t))
+	waitJoined(t, reg, 1)
+	p.outcome <- nil
+	for _, ch := range []<-chan acquired{leader, follower} {
+		if got := recv(t, ch, "acquire d"); got.err != nil || got.c != p.c {
+			t.Fatalf("acquire d: %v %v", got.c, got.err)
+		}
+	}
+	if shared.Value() != 1 || misses.Value() != 5 || hits.Value() != 1 || evictions.Value() != 3 {
+		t.Fatalf("after shared load: shared=%d misses=%d hits=%d evictions=%d",
+			shared.Value(), misses.Value(), hits.Value(), evictions.Value())
 	}
 }

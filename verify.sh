@@ -66,6 +66,12 @@ go test -race -run 'Parallel|ForEach|Cancellation' \
 # dmsoak's report/quantile/scraper plumbing rides along.
 go test -race ./internal/store/ ./internal/harness/ ./internal/services/ ./cmd/dmsoak/
 
+# The harness hands each miss's load from the caller that runs it to the
+# callers waiting on it; repeat those tests under the race detector so
+# the flight hand-off (including a cancelled leader and a failed build)
+# interleaves many ways.
+go test -race -count 20 -run 'Concurrent|Shared|Parked' ./internal/harness/
+
 # A deterministic short-mode soak: two real dmserver replicas on one
 # store directory, a SIGKILL every 2.5s, background GC on — the run must
 # end inside its error budget (exit 0) with zero failed requests and at
